@@ -20,6 +20,7 @@ alphabets whose "events" are occurrence pairs like ("a", 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from .errors import (
@@ -45,6 +46,69 @@ def event_text(e: Event) -> str:
     return str(e)
 
 
+def _successors(index: dict, pairs: frozenset) -> tuple:
+    succ = [0] * len(index)
+    for a, b in pairs:
+        succ[index[a]] |= 1 << index[b]
+    return tuple(succ)
+
+
+class MaskView:
+    """An alphabet's events as bits: event ``order[i]`` is bit ``1 << i``.
+
+    ``ser[i]`` and ``inl[i]`` are the successor masks of ``order[i]``: the
+    events ``e`` with ``(order[i], e)`` in ser, respectively inl.  A step is
+    the mask of its events; :meth:`to_mask` and :meth:`from_mask` convert,
+    memoized in two plain dicts so each distinct step is converted once and
+    :meth:`from_mask` hands back one frozenset object per mask.
+
+    The view holds the event order but not the alphabet, so caching it on the
+    alphabet makes no reference cycle: an alphabet dropped by a cache is
+    freed at once, with its view.
+    """
+
+    __slots__ = ("order", "bit", "ser", "inl", "mask_of", "step_of")
+
+    def __init__(self, order: tuple, ser: frozenset, inl: frozenset):
+        index = {e: i for i, e in enumerate(order)}
+        self.order = order
+        self.bit = {e: 1 << i for e, i in index.items()}
+        self.ser = _successors(index, ser)
+        self.inl = _successors(index, inl)
+        self.mask_of: dict = {}  # step -> mask
+        self.step_of: dict = {}  # mask -> step
+
+    def to_mask(self, step: Step) -> int:
+        m = self.mask_of.get(step)
+        if m is None:
+            m = 0
+            for e in step:
+                try:
+                    m |= self.bit[e]
+                except KeyError:
+                    raise UnknownEvent(f"unknown event {event_text(e)!r}") from None
+            self.mask_of[step] = m
+        return m
+
+    def from_mask(self, m: int) -> Step:
+        step = self.step_of.get(m)
+        if step is None:
+            step = frozenset(e for i, e in enumerate(self.order) if m >> i & 1)
+            self.step_of[m] = step
+        return step
+
+    @staticmethod
+    def common(succ: tuple, m: int) -> int:
+        """The AND of ``succ[i]`` over the bits ``i`` of ``m`` (all ones for 0):
+        the events every event of ``m`` relates to."""
+        acc = -1
+        while m:
+            low = m & -m
+            acc &= succ[low.bit_length() - 1]
+            m ^= low
+        return acc
+
+
 @dataclass(frozen=True)
 class GAlphabet:
     """A validated (E, sim, ser, inl) alphabet with a fixed total event order.
@@ -53,6 +117,11 @@ class GAlphabet:
     deterministically (step rendering, the step order, canonical choices).
     It defaults to the natural sort of the labels; construct via
     :func:`galphabet` which validates all invariants.
+
+    ``masks`` is the alphabet's :class:`MaskView`, built on first use and
+    kept in the instance ``__dict__``: steps as int bitmasks and ser/inl as
+    per-event successor masks, for the rewrite and canonical-form kernels.
+    Bits follow ``order``, so :meth:`with_order` gives a new view.
     """
 
     events: frozenset
@@ -76,6 +145,10 @@ class GAlphabet:
             idx = {e: i for i, e in enumerate(self.order)}
             self.__dict__["_index_cache"] = idx
         return idx
+
+    @cached_property
+    def masks(self) -> MaskView:
+        return MaskView(self.order, self.ser, self.inl)
 
     def sort_events(self, events: Iterable[Event]) -> list:
         return sorted(events, key=self.key)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .alphabet import GAlphabet, Step, lift_word
-from .congruence import CLASS_CAP, enumerate_class
+from .alphabet import GAlphabet, MaskView, Step, lift_word
+from .congruence import CLASS_CACHE_SIZE, CLASS_CAP, enumerate_class
 from .errors import InlNotEmpty, NotTraceAlphabet
 from .stepseq import StepSeq
 
@@ -62,29 +62,36 @@ class FdWitness:
 
 
 def forward_dependent(alphabet: GAlphabet, a: Step, b: Step) -> FdWitness | None:
-    """The best witness (largest c, ties by the step order) or None."""
+    """The best witness, the largest c (it is unique; see _migrant), or None."""
     if alphabet.inl:
         raise InlNotEmpty("forward dependency is defined for comtrace alphabets only")
-    ser = alphabet.ser
-    best = None
-    best_key = None
-    for c in _subsets(b):
-        if all((x, y) in ser for x in a for y in c) and all(
-            (x, y) in ser for x in c for y in b - c
-        ):
-            key = (-len(c), step_order_key(alphabet, c))
-            if best is None or key < best_key:
-                best, best_key = c, key
-    if best is None:
-        return None
-    return FdWitness(a=a, b=b, c=best)
+    view = alphabet.masks
+    c = _migrant(view, view.to_mask(a), view.to_mask(b))
+    return FdWitness(a=a, b=b, c=view.from_mask(c)) if c else None
 
 
-def _subsets(step: Step):
-    members = sorted(step, key=repr)
-    n = len(members)
-    for mask in range(1, 1 << n):
-        yield frozenset(members[i] for i in range(n) if mask & (1 << i))
+def _migrant(view: MaskView, a: int, b: int) -> int:
+    """The largest witness c of forward dependency of the step masks (a, b), or 0.
+
+    Witnesses are closed under union: if c1 and c2 qualify, every event of
+    c1 | c2 serializes before all of b ^ (c1 | c2).  So the largest witness
+    is unique, the step-order tie-break never decides, and it is the greatest
+    fixpoint of  c -> {x in c : ser[x] contains b ^ c},  started from the
+    events of b that all of a serializes before.
+    """
+    ser = view.ser
+    c = b & view.common(ser, a)
+    while c:
+        rest, kept, m = b ^ c, c, c
+        while m:
+            low = m & -m
+            if rest & ~ser[low.bit_length() - 1]:
+                kept ^= low
+            m ^= low
+        if kept == c:
+            return c
+        c = kept
+    return 0
 
 
 def is_canonical(alphabet: GAlphabet, s: StepSeq) -> bool:
@@ -102,22 +109,27 @@ def canonicalize(alphabet: GAlphabet, s: StepSeq) -> StepSeq:
 
     Each rewrite strictly grows the prefix-weight tuple lexicographically, so
     the loop terminates; uniqueness of the canonical member makes any
-    rewriting strategy correct.
+    rewriting strategy correct.  After a rewrite at i the scan resumes at
+    i - 1: the pairs left of it are unchanged and none was forward dependent,
+    so it is still the leftmost pair that is rewritten.
     """
     if alphabet.inl:
         raise InlNotEmpty("canonical form is defined for comtrace alphabets only")
-    s = tuple(s)
-    while True:
-        for i in range(len(s) - 1):
-            w = forward_dependent(alphabet, s[i], s[i + 1])
-            if w is not None:
-                grown = s[i] | w.c
-                rest = s[i + 1] - w.c
-                mid = (grown, rest) if rest else (grown,)
-                s = s[:i] + mid + s[i + 2:]
-                break
+    view = alphabet.masks
+    ms = [view.to_mask(a) for a in s]
+    i = 0
+    while i < len(ms) - 1:
+        c = _migrant(view, ms[i], ms[i + 1])
+        if c:
+            ms[i] |= c
+            if ms[i + 1] == c:
+                del ms[i + 1]
+            else:
+                ms[i + 1] ^= c
+            i = max(i - 1, 0)
         else:
-            return s
+            i += 1
+    return tuple(map(view.from_mask, ms))
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +148,7 @@ def is_gmc(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _mc_index(alphabet: GAlphabet, s: StepSeq, cap: int) -> int:
     """1-based index of the first step that is maximally concurrent in s."""
     for i in range(len(s)):

@@ -7,20 +7,25 @@ Two step sequences are congruent when one rewrites to the other by a chain of
 * joins    wBCz ->  wAz    under the same side condition, and
 * swaps    wABz ->  wBAz   where A x B in inl
 
-(the last only contributes on genuine g-comtrace alphabets).  Classes are
-materialized by breadth-first search with a hard member cap; the visited set
-is keyed on the step sequences themselves, and the members are returned
-sorted by rendered text (each member rendered once), so the order is
-reproducible and independent of the search order.
+(the last only contributes on genuine g-comtrace alphabets).  The rewrites
+run on the alphabet's mask view (``GAlphabet.masks``): a step is an int whose
+bits are its events' positions in ``order``, and ser/inl are per-event
+successor masks, so "B x C in ser" is "C lies inside the AND of the ser
+successors of B's events".  Bits follow ``order``; the frozenset steps stay
+the interface.
+
+Classes are materialized by breadth-first search with a hard member cap; the
+visited set is keyed on the step sequences themselves, and the members are
+returned sorted by rendered text (each distinct step rendered once), so the
+order is reproducible and independent of the search order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 
-from .alphabet import GAlphabet, Step
+from .alphabet import GAlphabet
 from .errors import ClassCapExceeded, NotTraceAlphabet
 from .stepseq import StepSeq, counts, render, weight
 
@@ -42,7 +47,7 @@ class ClassSet:
     def representative(self) -> str:
         return render(self.alphabet, self.members[0])
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
@@ -56,31 +61,27 @@ class ClassSet:
         return len(self.members)
 
 
-def _splits(step: Step, ser: frozenset):
-    """All ordered pairs (B, C) partitioning the step with B x C in ser."""
-    members = sorted(step, key=repr)
-    for r in range(1, len(members)):
-        for combo in combinations(members, r):
-            b = frozenset(combo)
-            c = step - b
-            if all((x, y) in ser for x in b for y in c):
-                yield b, c
-
-
 def rewrite_neighbors(alphabet: GAlphabet, s: StepSeq) -> set:
     """Everything reachable from s by a single split, join or swap."""
+    view = alphabet.masks
+    ser, inl, common, step = view.ser, view.inl, view.common, view.from_mask
+    ms = [view.to_mask(a) for a in s]
     out = set()
-    ser, inl = alphabet.ser, alphabet.inl
-    for i, step in enumerate(s):
-        for b, c in _splits(step, ser):
-            out.add(s[:i] + (b, c) + s[i + 1:])
-    for i in range(len(s) - 1):
-        b, c = s[i], s[i + 1]
-        if b.isdisjoint(c) and all((x, y) in ser for x in b for y in c):
-            out.add(s[:i] + (b | c,) + s[i + 2:])
-        if all((x, y) in inl for x in b for y in c):
-            out.add(s[:i] + (c, b) + s[i + 2:])
-    out.discard(s)
+    for i, m in enumerate(ms):
+        # splits: every proper nonempty submask b of m with (m ^ b) inside
+        # the events all of b serializes before
+        b = (m - 1) & m
+        while b:
+            c = m ^ b
+            if not c & ~common(ser, b):
+                out.add(s[:i] + (step(b), step(c)) + s[i + 1:])
+            b = (b - 1) & m
+    for i in range(len(ms) - 1):
+        b, c = ms[i], ms[i + 1]
+        if not b & c and not c & ~common(ser, b):
+            out.add(s[:i] + (step(b | c),) + s[i + 2:])
+        if alphabet.inl and not c & ~common(inl, b):
+            out.add(s[:i] + (s[i + 1], s[i]) + s[i + 2:])
     return out
 
 
@@ -100,7 +101,10 @@ def _class_members(alphabet: GAlphabet, s: StepSeq, cap: int) -> tuple:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return tuple(sorted(seen, key=lambda v: render(alphabet, v)))
+    # each distinct step rendered once; a member's text is its steps' texts
+    # joined, as render would give it (the class of lambda has one member)
+    texts = {a: render(alphabet, (a,)) for a in {a for v in seen for a in v}}
+    return tuple(sorted(seen, key=lambda v: "".join([texts[a] for a in v])))
 
 
 def enumerate_class(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> ClassSet:
@@ -148,7 +152,7 @@ def trace_neighbors(alphabet: GAlphabet, word: tuple) -> set:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _trace_members(alphabet: GAlphabet, word: tuple, cap: int) -> tuple:
     frontier = [word]
     seen = {word}

@@ -2,6 +2,8 @@
 lexicographic representative, and the trace-level Foata machinery."""
 from __future__ import annotations
 
+from itertools import chain, islice, product
+
 import pytest
 
 from comtrace import (
@@ -20,6 +22,7 @@ from comtrace import (
     render,
 )
 from comtrace.canonical import (
+    _mc_index,
     compare,
     fully_commutative,
     is_trace_gmc,
@@ -27,6 +30,7 @@ from comtrace.canonical import (
     step_order_key,
     trace_decomposition,
 )
+from comtrace.congruence import CLASS_CACHE_SIZE, CLASS_CAP
 from comtrace.errors import InlNotEmpty, NotTraceAlphabet
 
 from conftest import CLIQUE_INL, DIAMOND, SER_ONEWAY, TINY_INL, random_instance
@@ -121,6 +125,14 @@ def test_gmc_may_be_longer_than_shortest():
     assert [render(CLIQUE_INL, m) for m in shortest] == ["{a}{b,c,d,e}"]
     assert is_mc(CLIQUE_INL, shortest[0])
     assert not is_gmc(CLIQUE_INL, shortest[0])
+
+
+def test_mc_index_cache_stays_bounded():
+    steps = DIAMOND.steps_universe()
+    seqs = chain.from_iterable(product(steps, repeat=n) for n in range(1, 6))
+    for s in islice(seqs, CLASS_CACHE_SIZE + 100):
+        _mc_index(DIAMOND, s, CLASS_CAP)
+    assert _mc_index.cache_info().currsize == CLASS_CACHE_SIZE
 
 
 # --- traces ------------------------------------------------------------------

@@ -14,7 +14,12 @@ from comtrace import (
     render,
     trace_class,
 )
-from comtrace.congruence import CLASS_CACHE_SIZE, _class_members, rewrite_neighbors
+from comtrace.congruence import (
+    CLASS_CACHE_SIZE,
+    _class_members,
+    _trace_members,
+    rewrite_neighbors,
+)
 from comtrace.errors import ClassCapExceeded
 from comtrace.sostruct import comtrace_of_so, so_of_stepseq
 
@@ -164,3 +169,19 @@ def test_class_cache_stays_bounded():
     for s in islice(seqs, CLASS_CACHE_SIZE + 100):
         enumerate_class(DIAMOND, s)
     assert _class_members.cache_info().currsize == CLASS_CACHE_SIZE
+
+
+def test_trace_cache_stays_bounded():
+    t = lift_trace_alphabet("abc", ind={("b", "c")})
+    for word in islice(product("abc", repeat=7), CLASS_CACHE_SIZE + 100):
+        trace_class(t, word)
+    assert _trace_members.cache_info().currsize == CLASS_CACHE_SIZE
+
+
+def test_member_set_is_built_once_and_agrees_with_members():
+    cls = enumerate_class(INL_PAIR, parse(INL_PAIR, "{a,c}{b}"))
+    assert cls.member_set is cls.member_set
+    assert cls.member_set == set(cls.members)
+    assert all(m in cls for m in cls.members)
+    outside = parse(INL_PAIR, "{a,c}{a}")
+    assert outside not in cls.members and outside not in cls
