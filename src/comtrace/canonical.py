@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .alphabet import GAlphabet, MaskView, Step, lift_word
 from .congruence import CLASS_CACHE_SIZE, CLASS_CAP, enumerate_class
@@ -175,8 +176,10 @@ def is_mc(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> bool:
 
 def g_canonical(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> StepSeq:
     """The lexicographically least member of [s] (any alphabet)."""
-    cls = enumerate_class(alphabet, s, cap)
-    return min(cls.members, key=lambda m: lex_key(alphabet, m))
+    members = enumerate_class(alphabet, s, cap).members
+    # lex_key with each distinct step's key computed once
+    keys = {step: step_order_key(alphabet, step) for step in set(chain.from_iterable(members))}
+    return min(members, key=lambda m: tuple(map(keys.__getitem__, m)))
 
 
 # --------------------------------------------------------------------------

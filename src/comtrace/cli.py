@@ -98,21 +98,13 @@ def _occ_seq_text(partition) -> str:
     )
 
 
-def _reduced(pairs: frozenset) -> frozenset:
-    """Drop transitively implied pairs (Hasse style); assumes transitivity."""
-    return frozenset(
-        (a, c)
-        for a, c in pairs
-        if not any((a, b) in pairs and (b, c) in pairs for b in {x for p in pairs for x in p})
-    )
-
-
 def _dot_graph(name: str, rel: Relation, style: str, symmetric: bool = False,
                reduce_edges: bool = False) -> str:
     lines = [f"digraph {name} {{"]
     for p in sorted(map(event_text, rel.carrier)):
         lines.append(f'  "{p}";')
-    pairs = _reduced(rel.pairs) if reduce_edges else rel.pairs
+    # for a transitive relation, the pairs no two-step chain implies (Hasse edges)
+    pairs = (rel - rel.compose(rel)).pairs if reduce_edges else rel.pairs
     seen = set()
     for a, b in sorted(pairs, key=_pair_text):
         if symmetric:

@@ -8,28 +8,30 @@ step builder, and serializability analysis of single steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .alphabet import GAlphabet, Step, galphabet
 from .canonical import step_order_key
-from .congruence import CLASS_CAP, enumerate_class
+from .congruence import CLASS_CAP
 from .errors import AxiomViolation, CarrierTooLarge, EmptyZ
 from .relations import (
     EXTENSION_CARRIER_CAP,
     Relation,
-    _nonempty_subsets,
+    RelStructure,
+    bits,
     bowtie_closure,
+    image,
     ordered_partitions,
-    partition_to_order,
-    rel_structure,
+    orders_of_partitions,
+    transpose,
 )
-from .sostruct import SoStructure, validate_so
+from .sostruct import SoStructure, _class_orders, _lifted, validate_so
 from .stepseq import (
     StepSeq,
     enumerate_occurrences,
     label,
     order_of,
-    weak_order_of,
 )
 
 SEMICAN_MINS_CAP = 20
@@ -46,11 +48,16 @@ class GsoStructure:
         return SoStructure(self.carrier, self.cmt & self.wc, self.wc)
 
     def __le__(self, other: "GsoStructure") -> bool:
-        return (
-            self.carrier == other.carrier
-            and self.cmt.pairs <= other.cmt.pairs
-            and self.wc.pairs <= other.wc.pairs
-        )
+        return self.carrier == other.carrier and self.cmt <= other.cmt and self.wc <= other.wc
+
+    @cached_property
+    def _ser_inl(self) -> tuple[Relation, Relation, Relation]:
+        """ser, its inverse and inl of the alphabet read off the structure,
+        over the carrier: read off (and validated) once, however many
+        extensions are rebuilt."""
+        theta = alphabet_of_gso(self)
+        ser = Relation.over(self.carrier, theta.ser)
+        return ser, ser.inverse(), Relation.over(self.carrier, theta.inl)
 
 
 def gso_structure(carrier: Iterable, cmt: Iterable[tuple], wc: Iterable[tuple]) -> GsoStructure:
@@ -60,12 +67,16 @@ def gso_structure(carrier: Iterable, cmt: Iterable[tuple], wc: Iterable[tuple]) 
 
 def validate_gso(g: GsoStructure) -> GsoStructure:
     """wc irreflexive, cmt symmetric irreflexive, induced so-structure valid."""
-    for a, b in g.wc.pairs:
-        if a == b:
-            raise AxiomViolation("G1", (a, b))
-    for a, b in g.cmt.pairs:
-        if a == b or (b, a) not in g.cmt.pairs:
-            raise AxiomViolation("G2", (a, b))
+    points = g.wc.points
+    p = points.points
+    for i, r in enumerate(g.wc.rows):
+        if r >> i & 1:
+            raise AxiomViolation("G1", (p[i], p[i]))
+    cmt = g.cmt.rows_in(points)
+    for i, (r, back) in enumerate(zip(cmt, transpose(cmt))):
+        bad = r & (1 << i | ~back)
+        if bad:
+            raise AxiomViolation("G2", (p[i], p[(bad & -bad).bit_length() - 1]))
     validate_so(g.induced_so)
     return g
 
@@ -94,66 +105,45 @@ def _local_invariants(alphabet: GAlphabet, s: StepSeq):
             serializable are squeezed between the pair along weak chains.
     """
     enum = enumerate_occurrences(s)
-    carrier, pos = enum.carrier, enum.pos
-    ser, inl = alphabet.ser, alphabet.inl
-    serinl = ser | inl
-    cmt = Relation.over(
-        carrier,
-        (
-            (x, y)
-            for x in carrier
-            for y in carrier
-            if (label(x), label(y)) in inl
-        ),
-    )
-    wc = Relation.over(
-        carrier,
-        (
-            (x, y)
-            for x, y in weak_order_of(enum).pairs
-            if (label(y), label(x)) not in serinl
-        ),
-    )
+    view = alphabet.masks
+    ser = _lifted(alphabet, enum.points, view.ser)
+    cmt = _lifted(alphabet, enum.points, view.inl)
+    serinl = ser | cmt
+    before = order_of(enum)
+    wc = before.weak_extension() - serinl.inverse()
     wreach = wc.reflexive_transitive_closure()
     both_ways = wreach.symmetric_intersection()
     squeeze = both_ways.compose(cmt.complement()).compose(both_ways)
-    prec_pairs = set()
-    for x, y in order_of(enum).pairs:
-        if (label(x), label(y)) not in serinl:
-            prec_pairs.add((x, y))
-        elif (x, y) in cmt.pairs and (x, y) in squeeze.pairs:
-            prec_pairs.add((x, y))
-        elif (label(x), label(y)) in ser:
-            between = [
-                z for z in carrier if (x, z) in wreach.pairs and (z, y) in wreach.pairs
-            ]
-            if any(
-                pos[d] < pos[g] and (label(d), label(g)) not in ser
-                for d in between
-                for g in between
-            ):
-                prec_pairs.add((x, y))
-    return cmt, wc, Relation.over(carrier, prec_pairs)
+    # (iii): y is kept when some d between x and y (along wreach) is strictly
+    # before and not serializable with another g between them
+    unser = (before - ser).rows
+    reach, reached = wreach.rows, transpose(wreach.rows)
+    rows = []
+    for i, r in enumerate((before & ser).rows):
+        kept = 0
+        for j in bits(r):
+            between = reach[i] & reached[j]
+            if image(between, unser) & between:
+                kept |= 1 << j
+        rows.append(kept)
+    squeezed = Relation.from_rows(before.points, tuple(rows))
+    prec = (before - serinl) | (before & cmt & squeeze) | squeezed
+    return cmt, wc, prec
 
 
 def gso_of_stepseq(alphabet: GAlphabet, s: StepSeq) -> GsoStructure:
     """The gso-structure induced by a single step sequence: bowtie closure of
     (prec u cmt, prec u wc) over the local invariants."""
     cmt, wc, prec = _local_invariants(alphabet, s)
-    closed = bowtie_closure(
-        rel_structure(cmt.carrier, prec.pairs | cmt.pairs, prec.pairs | wc.pairs)
-    )
+    closed = bowtie_closure(RelStructure(cmt.carrier, prec | cmt, prec | wc))
     return validate_gso(GsoStructure(closed.carrier, closed.r1, closed.r2))
 
 
 def gso_of_class(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> GsoStructure:
     """The gso-structure defined by the whole class: intersection of the
     symmetric closures of the generated orders, and of their weak companions."""
-    members = enumerate_class(alphabet, s, cap).members
-    orders = [order_of(enumerate_occurrences(m)) for m in members]
-    cmt = frozenset.intersection(*(o.symmetric_closure().pairs for o in orders))
-    wc = frozenset.intersection(*(o.weak_extension().pairs for o in orders))
-    return gso_structure(orders[0].carrier, cmt, wc)
+    _, cmt, wc = _class_orders(alphabet, s, cap)
+    return GsoStructure(cmt.carrier, cmt, wc)
 
 
 # --------------------------------------------------------------------------
@@ -165,8 +155,8 @@ def extensions_gso(g: GsoStructure, cap: int = EXTENSION_CARRIER_CAP) -> list[Re
     in not-later blocks."""
     if len(g.carrier) > cap:
         raise CarrierTooLarge(f"carrier of {len(g.carrier)} points exceeds cap {cap}")
-    parts = ordered_partitions(g.carrier, weak=g.wc.pairs, apart=g.cmt.pairs)
-    return [partition_to_order(p) for p in parts]
+    parts = ordered_partitions(g.carrier, weak=g.wc, apart=g.cmt)
+    return orders_of_partitions(g.wc.points, parts)
 
 
 def gso_from_orders(orders: Iterable[Relation]) -> GsoStructure:
@@ -174,11 +164,9 @@ def gso_from_orders(orders: Iterable[Relation]) -> GsoStructure:
     applied to extensions_gso(g) this reconstructs g exactly."""
     orders = list(orders)
     assert orders, "need at least one stratified order"
-    carrier = orders[0].carrier
-    assert all(o.carrier == carrier for o in orders)
-    cmt = frozenset.intersection(*(o.symmetric_closure().pairs for o in orders))
-    wc = frozenset.intersection(*(o.weak_extension().pairs for o in orders))
-    return gso_structure(carrier, cmt, wc)
+    cmt = reduce(Relation.__and__, (o.symmetric_closure() for o in orders))
+    wc = reduce(Relation.__and__, (o.weak_extension() for o in orders))
+    return GsoStructure(cmt.carrier, cmt, wc)
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +176,7 @@ def gso_from_orders(orders: Iterable[Relation]) -> GsoStructure:
 @dataclass(frozen=True)
 class InducedGComtrace:
     alphabet: GAlphabet
-    members: tuple  # step sequences of the extensions, sorted
+    members: tuple  # step sequences of the extensions, in ordered_partitions' order
 
 
 def alphabet_of_gso(g: GsoStructure, order: tuple | None = None) -> GAlphabet:
@@ -198,36 +186,35 @@ def alphabet_of_gso(g: GsoStructure, order: tuple | None = None) -> GAlphabet:
       ser: sim, and not wc-related the other way
       inl: cmt but wc-unrelated both ways
     """
-    cmt, wc = g.cmt.pairs, g.wc.pairs
-    sim = {(a, b) for a in g.carrier for b in g.carrier if a != b and (a, b) not in cmt}
-    ser = {(a, b) for a, b in sim if (b, a) not in wc}
-    inl = {(a, b) for a, b in cmt if (a, b) not in wc and (b, a) not in wc}
-    return galphabet(g.carrier, sim=sim, ser=ser, inl=inl, order=order)
+    cmt = g.cmt
+    full = cmt.points.full
+    sim = Relation.from_rows(
+        cmt.points, tuple(full & ~(r | 1 << i) for i, r in enumerate(cmt.rows))
+    )
+    wc_back = g.wc.inverse()
+    ser = sim - wc_back
+    inl = cmt - g.wc - wc_back
+    return galphabet(g.carrier, sim=sim.pairs, ser=ser.pairs, inl=inl.pairs, order=order)
 
 
 def gcomtrace_of_gso(g: GsoStructure, order: tuple | None = None) -> InducedGComtrace:
     """The g-comtrace generated by a gso-structure: the step sequences of all
     stratified extensions over the read-off alphabet (a single congruence
-    class, whose induced gso-structure is g again -- both are theorems)."""
+    class, whose induced gso-structure is g again -- both are theorems).  The
+    members come in the generator's order, which depends on the structure
+    alone."""
     theta = alphabet_of_gso(g, order=order)
-    parts = ordered_partitions(g.carrier, weak=g.wc.pairs, apart=g.cmt.pairs)
-    members = {tuple(part) for part in parts}
-    return InducedGComtrace(alphabet=theta, members=tuple(sorted(members, key=repr)))
+    parts = ordered_partitions(g.carrier, weak=g.wc, apart=g.cmt)
+    return InducedGComtrace(alphabet=theta, members=tuple(tuple(part) for part in parts))
 
 
 def gso_from_extension(g: GsoStructure, ext: Relation) -> GsoStructure:
     """Rebuild the structure from one stratified extension, no closure needed:
     (X, sym(ext minus ser) u inl, weak-ext minus (ser-inverse u inl))."""
-    theta = alphabet_of_gso(g)
-    ser, inl = theta.ser, theta.inl
-    stripped = {(a, b) for a, b in ext.pairs if (a, b) not in ser}
-    cmt = stripped | {(b, a) for a, b in stripped} | inl
-    wc = {
-        (a, b)
-        for a, b in ext.weak_extension().pairs
-        if (b, a) not in ser and (a, b) not in inl
-    }
-    return gso_structure(g.carrier, cmt, wc)
+    ser, ser_back, inl = g._ser_inl
+    cmt = (ext - ser).symmetric_closure() | inl
+    wc = ext.weak_extension() - ser_back - inl
+    return GsoStructure(g.carrier, cmt, wc)
 
 
 # --------------------------------------------------------------------------
@@ -248,37 +235,39 @@ def semican(alphabet: GAlphabet, g: GsoStructure, mins_cap: int = SEMICAN_MINS_C
     regenerate g (the input was not induced by any step sequence), and
     CarrierTooLarge when the minima set is too big to enumerate subsets of.
     """
-    prec = (g.cmt & g.wc).pairs
-    cmt, wc = g.cmt.pairs, g.wc.pairs
-    remaining = set(g.carrier)
+    points = g.wc.points
+    p = points.points
+    wc, cmt = g.wc.rows, g.cmt.rows_in(points)
+    prec_below = transpose([c & w for c, w in zip(cmt, wc)])
+    wc_below = transpose(wc)
+    remaining = points.full
     steps: list[Step] = []
     fronts: list[frozenset] = []
     while remaining:
-        mins = sorted(
-            (x for x in remaining if not any((y, x) in prec for y in remaining)),
-            key=repr,
-        )
+        mins = [i for i in bits(remaining) if not prec_below[i] & remaining]
         if len(mins) > mins_cap:
             raise CarrierTooLarge(f"{len(mins)} minimal occurrences exceed cap {mins_cap}")
         best_label = best_key = best_front = None
-        for picked in _nonempty_subsets(mins):
-            front = frozenset(picked)
-            if any((a, b) in cmt for a in front for b in front):
+        for picked in range(1, 1 << len(mins)):
+            front = 0
+            for k in bits(picked):
+                front |= 1 << mins[k]
+            if image(front, cmt) & front:
                 continue
-            rest = remaining - front
-            if any((b, a) in wc for a in front for b in rest):
+            rest = remaining & ~front
+            if image(front, wc_below) & rest:
                 continue
-            labels = frozenset(label(a) for a in front)
-            if len(labels) != len(front) or not alphabet.is_step(labels):
+            labels = frozenset(label(p[a]) for a in bits(front))
+            if len(labels) != front.bit_count() or not alphabet.is_step(labels):
                 continue  # not realizable as one step; genuine inputs never hit this
             key = step_order_key(alphabet, labels)
             if best_key is None or key < best_key:
                 best_label, best_key, best_front = labels, key, front
         if best_front is None:
-            raise EmptyZ(f"no admissible front among minima {sorted(map(repr, mins))}")
+            raise EmptyZ(f"no admissible front among minima {[repr(p[i]) for i in mins]}")
         steps.append(best_label)
-        fronts.append(best_front)
-        remaining -= best_front
+        fronts.append(points.subset(best_front))
+        remaining &= ~best_front
     result = tuple(steps)
     _check_regenerates(alphabet, g, result, fronts)
     return result

@@ -6,11 +6,20 @@ R n R^-1, complement, left-to-right composition, order classification, the
 enumeration of total/stratified extensions, a brute-force Szpilrajn check,
 and the two structure-closure operators (diamond and bowtie) that turn local
 invariant relations into (generalized) stratified order structures.
+
+Inside, a relation is a row mask per point: the carrier's points in a fixed
+:class:`PointOrder` (sorted by ``repr``), point ``points[i]`` as bit
+``1 << i``, and row ``i`` the mask of the points ``points[i]`` relates to.
+The operators work on rows and hand their point order on to the relations
+they return; the public ``pairs`` frozenset is built from the rows only when
+read.  The frozenset definitions of these kernels are the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Hashable, Iterable, Iterator
 
 from .errors import CarrierTooLarge, NotStratified
@@ -20,13 +29,99 @@ Point = Hashable
 EXTENSION_CARRIER_CAP = 8
 
 
-@dataclass(frozen=True)
+def bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def transpose(rows) -> list[int]:
+    """The rows of the inverse relation."""
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return out
+
+
+def image(m: int, rows) -> int:
+    """The OR of rows[j] over the bits j of m: where one step from m leads."""
+    acc = 0
+    while m:
+        low = m & -m
+        acc |= rows[low.bit_length() - 1]
+        m ^= low
+    return acc
+
+
+class PointOrder:
+    """A carrier's points in a fixed order: ``points[i]`` is bit ``1 << i``.
+
+    The order is the points sorted by ``repr``, so the ascending ranks of a
+    set of points list it in sorted-``repr`` order.  Relations built from one
+    another share one instance; there is no cache across carriers.
+    """
+
+    __slots__ = ("carrier", "points", "index", "full")
+
+    def __init__(self, carrier: frozenset):
+        self.carrier = carrier
+        self.points = tuple(sorted(carrier, key=repr))
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.full = (1 << len(self.points)) - 1
+
+    def mask(self, points: Iterable[Point]) -> int:
+        index = self.index
+        m = 0
+        for p in points:
+            m |= 1 << index[p]
+        return m
+
+    def subset(self, m: int) -> frozenset:
+        points = self.points
+        return frozenset(points[i] for i in bits(m))
+
+
+def _rows_of(points: PointOrder, pairs: Iterable[tuple]) -> tuple:
+    index = points.index
+    rows = [0] * len(points.points)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return tuple(rows)
+
+
+_set = object.__setattr__
+
+
 class Relation:
-    carrier: frozenset
-    pairs: frozenset
+    """An immutable relation over a finite carrier.
+
+    Built from pairs (``Relation(carrier, pairs)``) or from rows over a
+    point order (:meth:`from_rows`); each form is derived from the other on
+    first use.  Equality and hashing are those of (carrier, pairs).
+    """
+
+    __slots__ = ("carrier", "_points", "_rows", "_pairs")
+
+    def __init__(self, carrier: Iterable[Point], pairs: Iterable[tuple]):
+        _set(self, "carrier", frozenset(carrier))
+        _set(self, "_pairs", frozenset(pairs))
+        _set(self, "_points", None)
+        _set(self, "_rows", None)
+        self.__post_init__()
 
     def __post_init__(self):
-        assert all(a in self.carrier and b in self.carrier for a, b in self.pairs)
+        """The carrier check, run by every construction path, rows-built
+        relations included (perfbench's tracer counts relations here)."""
+        if self._pairs is not None:
+            assert all(a in self.carrier and b in self.carrier for a, b in self._pairs)
+        else:
+            assert 0 <= reduce(or_, self._rows, 0) <= self._points.full
 
     # -- constructors --------------------------------------------------
 
@@ -34,107 +129,186 @@ class Relation:
     def over(carrier: Iterable[Point], pairs: Iterable[tuple] = ()) -> "Relation":
         return Relation(frozenset(carrier), frozenset((a, b) for a, b in pairs))
 
-    def replace_pairs(self, pairs: Iterable[tuple]) -> "Relation":
-        return Relation(self.carrier, frozenset(pairs))
+    @staticmethod
+    def from_rows(points: PointOrder, rows: tuple) -> "Relation":
+        rel = object.__new__(Relation)
+        _set(rel, "carrier", points.carrier)
+        _set(rel, "_pairs", None)
+        _set(rel, "_points", points)
+        _set(rel, "_rows", rows)
+        rel.__post_init__()
+        return rel
+
+    # -- the two forms -------------------------------------------------
+
+    @property
+    def pairs(self) -> frozenset:
+        pairs = self._pairs
+        if pairs is None:
+            pts = self._points.points
+            built = []
+            for i, r in enumerate(self._rows):
+                a = pts[i]
+                while r:
+                    low = r & -r
+                    built.append((a, pts[low.bit_length() - 1]))
+                    r ^= low
+            pairs = frozenset(built)
+            _set(self, "_pairs", pairs)
+        return pairs
+
+    @property
+    def points(self) -> PointOrder:
+        points = self._points
+        if points is None:
+            points = PointOrder(self.carrier)
+            _set(self, "_points", points)
+        return points
+
+    @property
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            rows = _rows_of(self.points, self._pairs)
+            _set(self, "_rows", rows)
+        return rows
+
+    def rows_in(self, points: PointOrder) -> tuple:
+        """The rows of this relation over the given order of its carrier.
+
+        A relation that so far holds only pairs takes that order as its own.
+        """
+        mine = self._points
+        if mine is None:
+            assert points.carrier == self.carrier
+            _set(self, "_points", points)
+            return self.rows
+        if mine is points or mine.points == points.points:
+            return self.rows
+        assert points.carrier == self.carrier
+        return _rows_of(points, self.pairs)
+
+    def _derive(self, rows) -> "Relation":
+        return Relation.from_rows(self.points, tuple(rows))
+
+    # -- value semantics -----------------------------------------------
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Relation, (self.carrier, self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Relation):
+            return NotImplemented
+        if self._pairs is not None and other._pairs is not None:
+            return self.carrier == other.carrier and self._pairs == other._pairs
+        if self._points is None:
+            self, other = other, self
+        if self._points is not other._points and self.carrier != other.carrier:
+            return False
+        return self.rows == other.rows_in(self._points)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"Relation(carrier={self.carrier!r}, pairs={self.pairs!r})"
 
     # -- algebra --------------------------------------------------------
 
     def __contains__(self, pair: tuple) -> bool:
-        return pair in self.pairs
+        if self._pairs is not None:
+            return pair in self._pairs
+        index = self._points.index
+        i, j = index.get(pair[0]), index.get(pair[1])
+        return i is not None and j is not None and bool(self._rows[i] >> j & 1)
 
     def __or__(self, other: "Relation") -> "Relation":
-        assert self.carrier == other.carrier
-        return Relation(self.carrier, self.pairs | other.pairs)
+        return self._derive(map(or_, self.rows, other.rows_in(self.points)))
 
     def __and__(self, other: "Relation") -> "Relation":
-        assert self.carrier == other.carrier
-        return Relation(self.carrier, self.pairs & other.pairs)
+        return self._derive(map(and_, self.rows, other.rows_in(self.points)))
 
     def __sub__(self, other: "Relation") -> "Relation":
-        assert self.carrier == other.carrier
-        return Relation(self.carrier, self.pairs - other.pairs)
+        return self._derive(a & ~b for a, b in zip(self.rows, other.rows_in(self.points)))
 
     def __le__(self, other: "Relation") -> bool:
-        return self.carrier == other.carrier and self.pairs <= other.pairs
+        if (self._points is None or self._points is not other._points) and (
+            self.carrier != other.carrier
+        ):
+            return False
+        return not any(a & ~b for a, b in zip(self.rows, other.rows_in(self.points)))
 
     def inverse(self) -> "Relation":
-        return Relation(self.carrier, frozenset((b, a) for a, b in self.pairs))
+        return self._derive(transpose(self.rows))
 
     def transitive_closure(self) -> "Relation":
-        succ = {x: {b for a, b in self.pairs if a == x} for x in self.carrier}
-        closed = set(self.pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closed):
-                for c in succ[b]:
-                    if (a, c) not in closed:
-                        closed.add((a, c))
-                        changed = True
-        return Relation(self.carrier, frozenset(closed))
+        """Warshall's algorithm on the rows."""
+        rows = list(self.rows)
+        for k in range(len(rows)):
+            bit, through = 1 << k, rows[k]
+            if through:
+                for i, r in enumerate(rows):
+                    if r & bit:
+                        rows[i] = r | through
+        return self._derive(rows)
 
     def reflexive_transitive_closure(self) -> "Relation":
         tc = self.transitive_closure()
-        return Relation(self.carrier, tc.pairs | frozenset((x, x) for x in self.carrier))
+        return tc._derive(r | 1 << i for i, r in enumerate(tc.rows))
 
     def symmetric_closure(self) -> "Relation":
-        return Relation(self.carrier, self.pairs | frozenset((b, a) for a, b in self.pairs))
+        return self._derive(map(or_, self.rows, transpose(self.rows)))
 
     def symmetric_intersection(self) -> "Relation":
         """R n R^-1 (written R with the double-cap superscript in order theory)."""
-        return Relation(
-            self.carrier, frozenset(p for p in self.pairs if (p[1], p[0]) in self.pairs)
-        )
+        return self._derive(map(and_, self.rows, transpose(self.rows)))
 
     def complement(self) -> "Relation":
-        full = {(a, b) for a in self.carrier for b in self.carrier}
-        return Relation(self.carrier, frozenset(full - self.pairs))
+        full = self.points.full
+        return self._derive(full & ~r for r in self.rows)
 
     def compose(self, other: "Relation") -> "Relation":
         """Left-to-right composition: (a, c) iff a R b and b S c for some b."""
-        assert self.carrier == other.carrier
-        by_first = {}
-        for b, c in other.pairs:
-            by_first.setdefault(b, set()).add(c)
-        out = {
-            (a, c) for a, b in self.pairs for c in by_first.get(b, ())
-        }
-        return Relation(self.carrier, frozenset(out))
-
-    def restrict(self, points: Iterable[Point]) -> "Relation":
-        points = frozenset(points)
-        return Relation(
-            points, frozenset(p for p in self.pairs if p[0] in points and p[1] in points)
-        )
+        then = other.rows_in(self.points)
+        return self._derive(image(r, then) for r in self.rows)
 
     # -- predicates ------------------------------------------------------
 
     def is_irreflexive(self) -> bool:
-        return all(a != b for a, b in self.pairs)
+        return not any(r >> i & 1 for i, r in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
-        return all((b, a) in self.pairs for a, b in self.pairs)
+        return list(self.rows) == transpose(self.rows)
 
     def is_transitive(self) -> bool:
-        return self.transitive_closure().pairs == self.pairs
+        rows = self.rows
+        return not any(image(r, rows) & ~r for r in rows)
 
     # -- derived relations of an order -----------------------------------
 
     def incomparability(self) -> "Relation":
         """a and b distinct, related in neither direction (written a frown b)."""
-        return Relation(
-            self.carrier,
-            frozenset(
-                (a, b)
-                for a in self.carrier
-                for b in self.carrier
-                if a != b and (a, b) not in self.pairs and (b, a) not in self.pairs
-            ),
+        full = self.points.full
+        return self._derive(
+            full & ~(r | c | 1 << i)
+            for i, (r, c) in enumerate(zip(self.rows, transpose(self.rows)))
         )
 
     def weak_extension(self) -> "Relation":
         """The 'ordered or incomparable' relation: R u incomparability(R)."""
-        return self | self.incomparability()
+        full = self.points.full
+        return self._derive(
+            r | full & ~(c | 1 << i)
+            for i, (r, c) in enumerate(zip(self.rows, transpose(self.rows)))
+        )
 
 
 def relation_algebra(rel: Relation, op: str) -> Relation:
@@ -161,16 +335,14 @@ def classify_order(rel: Relation) -> str:
     """
     if not rel.is_irreflexive() or not rel.is_transitive():
         return "not_order"
-    frown = rel.incomparability()
-    if not frown.pairs:
+    full = rel.points.full
+    # incomparable-or-equal: the diagonal is in, since rel is irreflexive
+    simeq = [full & ~(r | c) for r, c in zip(rel.rows, transpose(rel.rows))]
+    if all(m == 1 << i for i, m in enumerate(simeq)):
         return "total"
-    # incomparable-or-equal is reflexive and symmetric by construction; it is
-    # an equivalence iff transitive.
-    simeq = frown.pairs | {(x, x) for x in rel.carrier}
-    for a, b in simeq:
-        for c in rel.carrier:
-            if (b, c) in simeq and (a, c) not in simeq:
-                return "partial"
+    # reflexive and symmetric by construction; an equivalence iff transitive
+    if any(image(m, simeq) & ~m for m in simeq):
+        return "partial"
     return "stratified"
 
 
@@ -182,11 +354,17 @@ def is_stratified(rel: Relation) -> bool:
 # ordered-partition / extension enumeration
 # --------------------------------------------------------------------------
 
+def _predecessor_rows(points: PointOrder, rel) -> list[int]:
+    """Row i: the points related to points[i], for a Relation over the
+    carrier or an iterable of pairs."""
+    return transpose(rel.rows_in(points) if isinstance(rel, Relation) else _rows_of(points, rel))
+
+
 def ordered_partitions(
     carrier: Iterable[Point],
-    strict: Iterable[tuple] = (),
-    weak: Iterable[tuple] = (),
-    apart: Iterable[tuple] = (),
+    strict: Relation | Iterable[tuple] = (),
+    weak: Relation | Iterable[tuple] = (),
+    apart: Relation | Iterable[tuple] = (),
 ) -> Iterator[tuple[frozenset, ...]]:
     """All ordered set partitions (B1, ..., Bk) of the carrier such that
 
@@ -196,83 +374,130 @@ def ordered_partitions(
 
     This single generator yields total extensions (apart = everything),
     stratified extensions of posets (strict only), and the stratified
-    extensions of so-/gso-structures (strict + weak / weak + apart).
+    extensions of so-/gso-structures (strict + weak / weak + apart).  Each
+    constraint is a Relation over the carrier or an iterable of pairs.
+
     Front blocks are pruned, not filtered: a block must contain no point with
     a remaining strict predecessor, must be closed under remaining weak
-    predecessors, and may not contain an apart pair.
+    predecessors, and may not contain an apart pair.  The admissible front
+    blocks of each set of remaining points are computed once, ordered by
+    their points' sorted ``repr``s (their ascending ranks), and the
+    partitions follow in that order, depth first.
     """
     carrier = frozenset(carrier)
-    strict = frozenset(strict)
-    weak = frozenset(weak)
-    apart = frozenset(apart)
+    given = [r for r in (strict, weak, apart) if isinstance(r, Relation)]
+    points = given[0].points if given and given[0].carrier == carrier else PointOrder(carrier)
+    strict_pred = _predecessor_rows(points, strict)
+    weak_pred = _predecessor_rows(points, weak)
+    # apart only ever asks whether a block holds both ends, so either direction serves
+    apart_rows = _predecessor_rows(points, apart)
+    fronts: dict[int, list[int]] = {}
+    blocks: dict[int, frozenset] = {}
 
-    def blocks(remaining: frozenset) -> Iterator[tuple[frozenset, ...]]:
-        if not remaining:
-            yield ()
-            return
-        ok = {
-            x
-            for x in remaining
-            if not any((y, x) in strict for y in remaining)
-        }
+    def separated(m: int) -> bool:
+        return not image(m, apart_rows) & m
+
+    def front_blocks(rest: int) -> list[int]:
+        ok = 0
+        for i in bits(rest):
+            if not strict_pred[i] & rest:
+                ok |= 1 << i
         # weak-closure of each admissible point: everything that must ride
         # along in the same (first) block; unusable if it needs a point that
         # still has strict predecessors.  Every admissible first block is a
         # union of such closures (and any union of closed sets is closed).
-        closure = {}
-        for x in ok:
-            need = {x}
-            frontier = [x]
+        closures = set()
+        for i in bits(ok):
+            need = frontier = 1 << i
             while frontier:
-                cur = frontier.pop()
-                for y in remaining:
-                    if (y, cur) in weak and y not in need:
-                        need.add(y)
-                        frontier.append(y)
-            if need <= ok:
-                closure[x] = frozenset(need)
-        usable = sorted(closure, key=repr)
-        candidates = set()
-        for picked in _nonempty_subsets(usable):
-            block = frozenset().union(*(closure[x] for x in picked))
-            if block not in candidates:
-                if not any((a, b) in apart for a in block for b in block):
-                    candidates.add(block)
-        for block in sorted(candidates, key=lambda b: sorted(map(repr, b))):
-            for rest in blocks(remaining - block):
-                yield (block, *rest)
+                frontier = image(frontier, weak_pred) & rest & ~need
+                need |= frontier
+            if not need & ~ok:
+                closures.add(need)
+        # a block holding an apart pair stays one under any union, so only
+        # separated unions are grown
+        unions = {0}
+        for c in closures:
+            if separated(c):
+                unions |= {u | c for u in unions if separated(u | c)}
+        unions.discard(0)
+        return sorted(unions, key=lambda m: tuple(bits(m)))
 
-    yield from blocks(carrier)
+    def block(m: int) -> frozenset:
+        got = blocks.get(m)
+        if got is None:
+            got = blocks[m] = points.subset(m)
+        return got
+
+    full = points.full
+    if not full:
+        yield ()
+        return
+    prefix: list[frozenset] = []
+    rests = [full]
+    stack = [iter(front_blocks(full))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            rests.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        rest = rests[-1] & ~b
+        if not rest:
+            yield (*prefix, block(b))
+            continue
+        following = fronts.get(rest)
+        if following is None:
+            following = fronts[rest] = front_blocks(rest)
+        prefix.append(block(b))
+        rests.append(rest)
+        stack.append(iter(following))
 
 
-def _nonempty_subsets(items: list) -> Iterator[tuple]:
-    n = len(items)
-    for mask in range(1, 1 << n):
-        yield tuple(items[i] for i in range(n) if mask & (1 << i))
+def orders_of_partitions(points: PointOrder, partitions: Iterable[tuple]) -> list[Relation]:
+    """The stratified orders over the given point order whose blocks, in
+    order, are the partitions (as ordered_partitions yields them)."""
+    masks: dict[frozenset, int] = {}
+    orders = []
+    for partition in partitions:
+        rows = [0] * len(points.points)
+        later = 0
+        for blk in reversed(partition):
+            m = masks.get(blk)
+            if m is None:
+                m = masks[blk] = points.mask(blk)
+            later_m = later
+            later |= m
+            while m:
+                low = m & -m
+                rows[low.bit_length() - 1] = later_m
+                m ^= low
+        orders.append(Relation.from_rows(points, tuple(rows)))
+    return orders
 
 
 def partition_to_order(partition: tuple[frozenset, ...]) -> Relation:
     """The stratified order whose blocks, in order, are the given partition."""
     carrier = frozenset().union(*partition) if partition else frozenset()
-    pairs = set()
-    for i, block in enumerate(partition):
-        for later in partition[i + 1:]:
-            pairs.update((a, b) for a in block for b in later)
-    return Relation(carrier, frozenset(pairs))
+    return orders_of_partitions(PointOrder(carrier), [partition])[0]
 
 
 def order_to_partition(rel: Relation) -> tuple[frozenset, ...]:
     """The block sequence of a stratified order; raises NotStratified otherwise."""
     if not is_stratified(rel):
         raise NotStratified(f"relation on {sorted(map(repr, rel.carrier))} is not stratified")
-    remaining = set(rel.carrier)
+    pred = transpose(rel.rows)
+    remaining = rel.points.full
     blocks = []
     while remaining:
-        bottom = frozenset(
-            x for x in remaining if not any((y, x) in rel.pairs for y in remaining)
-        )
-        blocks.append(bottom)
-        remaining -= bottom
+        bottom = 0
+        for i in bits(remaining):
+            if not pred[i] & remaining:
+                bottom |= 1 << i
+        blocks.append(rel.points.subset(bottom))
+        remaining &= ~bottom
     return tuple(blocks)
 
 
@@ -280,16 +505,16 @@ def extensions(poset: Relation, kind: str, cap: int = EXTENSION_CARRIER_CAP) -> 
     """All total or stratified extensions of a partial order."""
     if len(poset.carrier) > cap:
         raise CarrierTooLarge(f"carrier of {len(poset.carrier)} points exceeds cap {cap}")
+    points = poset.points
     if kind == "total":
-        apart = {
-            (a, b) for a in poset.carrier for b in poset.carrier if a != b
-        }
-        parts = ordered_partitions(poset.carrier, strict=poset.pairs, apart=apart)
+        distinct = tuple(points.full & ~(1 << i) for i in range(len(points.points)))
+        apart = Relation.from_rows(points, distinct)
+        parts = ordered_partitions(poset.carrier, strict=poset, apart=apart)
     elif kind == "stratified":
-        parts = ordered_partitions(poset.carrier, strict=poset.pairs)
+        parts = ordered_partitions(poset.carrier, strict=poset)
     else:
         raise ValueError(f"unknown extension kind {kind!r}")
-    return [partition_to_order(p) for p in parts]
+    return orders_of_partitions(points, parts)
 
 
 def szpilrajn_check(poset: Relation, cap: int = EXTENSION_CARRIER_CAP) -> bool:
@@ -314,11 +539,7 @@ class RelStructure:
     r2: Relation
 
     def __le__(self, other: "RelStructure") -> bool:
-        return (
-            self.carrier == other.carrier
-            and self.r1.pairs <= other.r1.pairs
-            and self.r2.pairs <= other.r2.pairs
-        )
+        return self.carrier == other.carrier and self.r1 <= other.r1 and self.r2 <= other.r2
 
 
 def rel_structure(carrier: Iterable[Point], r1: Iterable[tuple], r2: Iterable[tuple]) -> RelStructure:
@@ -334,8 +555,7 @@ def diamond_closure(s: RelStructure) -> RelStructure:
     """
     both_star = (s.r1 | s.r2).reflexive_transitive_closure()
     prec = both_star.compose(s.r1).compose(both_star)
-    ident = frozenset((x, x) for x in s.carrier)
-    wc = Relation(s.carrier, both_star.pairs - ident)
+    wc = both_star._derive(r & ~(1 << i) for i, r in enumerate(both_star.rows))
     return RelStructure(s.carrier, prec, wc)
 
 

@@ -15,7 +15,7 @@ relation.  The axioms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .alphabet import GAlphabet, galphabet
@@ -23,18 +23,20 @@ from .congruence import CLASS_CAP, enumerate_class
 from .errors import AxiomViolation, CarrierTooLarge, InlNotEmpty
 from .relations import (
     EXTENSION_CARRIER_CAP,
+    PointOrder,
     Relation,
+    RelStructure,
+    bits,
     diamond_closure,
+    image,
     ordered_partitions,
-    partition_to_order,
-    rel_structure,
+    orders_of_partitions,
 )
 from .stepseq import (
     StepSeq,
     enumerate_occurrences,
     label,
     order_of,
-    weak_order_of,
 )
 
 
@@ -45,11 +47,14 @@ class SoStructure:
     wc: Relation
 
     def __le__(self, other: "SoStructure") -> bool:
-        return (
-            self.carrier == other.carrier
-            and self.prec.pairs <= other.prec.pairs
-            and self.wc.pairs <= other.wc.pairs
-        )
+        return self.carrier == other.carrier and self.prec <= other.prec and self.wc <= other.wc
+
+    @cached_property
+    def _ser(self) -> tuple[Relation, Relation]:
+        """ser of the alphabet read off the structure and its inverse, over
+        the carrier: read off once, however many extensions are rebuilt."""
+        ser = Relation.over(self.carrier, alphabet_of_so(self).ser)
+        return ser, ser.inverse()
 
 
 def so_structure(carrier: Iterable, prec: Iterable[tuple], wc: Iterable[tuple]) -> SoStructure:
@@ -57,26 +62,41 @@ def so_structure(carrier: Iterable, prec: Iterable[tuple], wc: Iterable[tuple]) 
     return SoStructure(carrier, Relation.over(carrier, prec), Relation.over(carrier, wc))
 
 
+def _broken_chain(first, second, closed, points: PointOrder, skip_same=False):
+    """A triple (a, b, c) with a first b, b second c, and (a, c) not in
+    closed, or None; with skip_same, a = c is no violation.  All three are
+    row lists over points."""
+    for i, r in enumerate(first):
+        bad = image(r, second) & ~closed[i]
+        if skip_same:
+            bad &= ~(1 << i)
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            j = next(j for j in bits(r) if second[j] >> k & 1)
+            p = points.points
+            return p[i], p[j], p[k]
+    return None
+
+
 def validate_so(s: SoStructure) -> SoStructure:
-    """Return s if it satisfies S1-S4, else raise AxiomViolation."""
-    prec, wc = s.prec.pairs, s.wc.pairs
-    for a, b in wc:
-        if a == b:
-            raise AxiomViolation("S1", (a, b))
-    for p in prec:
-        if p not in wc:
-            raise AxiomViolation("S2", p)
-    for (a, b), (b2, c) in permutations(wc, 2):
-        if b == b2 and a != c and (a, c) not in wc:
-            raise AxiomViolation("S3", (a, b, c))
-    for a, b in wc:
-        for b2, c in prec:
-            if b == b2 and (a, c) not in prec:
-                raise AxiomViolation("S4", (a, b, c))
-    for a, b in prec:
-        for b2, c in wc:
-            if b == b2 and (a, c) not in prec:
-                raise AxiomViolation("S4", (a, b, c))
+    """Return s if it satisfies S1-S4, else raise AxiomViolation.  The axioms
+    are checked in order, and the witness is a violating pair or triple."""
+    points = s.wc.points
+    p = points.points
+    wc, prec = s.wc.rows, s.prec.rows_in(points)
+    for i, r in enumerate(wc):
+        if r >> i & 1:
+            raise AxiomViolation("S1", (p[i], p[i]))
+    for i, r in enumerate(prec):
+        bad = r & ~wc[i]
+        if bad:
+            raise AxiomViolation("S2", (p[i], p[(bad & -bad).bit_length() - 1]))
+    witness = _broken_chain(wc, wc, wc, points, skip_same=True)
+    if witness:
+        raise AxiomViolation("S3", witness)
+    witness = _broken_chain(wc, prec, prec, points) or _broken_chain(prec, wc, prec, points)
+    if witness:
+        raise AxiomViolation("S4", witness)
     return s
 
 
@@ -92,6 +112,23 @@ def is_so(s: SoStructure) -> bool:
 # step sequence -> so-structure
 # --------------------------------------------------------------------------
 
+def _lifted(alphabet: GAlphabet, points: PointOrder, succ: tuple) -> Relation:
+    """The occurrence relation (x, y) iff (label(x), label(y)) is in the
+    alphabet relation given by its per-event successor masks (``succ``,
+    e.g. ``alphabet.masks.ser``)."""
+    events = [alphabet.key(label(x)) for x in points.points]
+    occurrences = [0] * len(alphabet.order)
+    for i, e in enumerate(events):
+        occurrences[e] |= 1 << i
+    by_event = []
+    for m in succ:
+        acc = 0
+        for f in bits(m):
+            acc |= occurrences[f]
+        by_event.append(acc)
+    return Relation.from_rows(points, tuple(by_event[e] for e in events))
+
+
 def so_of_stepseq(alphabet: GAlphabet, s: StepSeq) -> SoStructure:
     """The so-structure induced by a single step sequence over a comtrace
     alphabet: filter the step-sequence orders by serializability, then take
@@ -103,13 +140,35 @@ def so_of_stepseq(alphabet: GAlphabet, s: StepSeq) -> SoStructure:
     if alphabet.inl:
         raise InlNotEmpty("induced so-structures need a comtrace alphabet")
     enum = enumerate_occurrences(s)
-    ser = alphabet.ser
+    ser = _lifted(alphabet, enum.points, alphabet.masks.ser)
     before = order_of(enum)
-    not_later = weak_order_of(enum)
-    prec = {(x, y) for x, y in before.pairs if (label(x), label(y)) not in ser}
-    wc = {(x, y) for x, y in not_later.pairs if (label(y), label(x)) not in ser}
-    closed = diamond_closure(rel_structure(enum.carrier, prec, wc))
+    prec = before - ser
+    wc = before.weak_extension() - ser.inverse()
+    closed = diamond_closure(RelStructure(enum.carrier, prec, wc))
     return validate_so(SoStructure(closed.carrier, closed.r1, closed.r2))
+
+
+def _class_orders(alphabet: GAlphabet, s: StepSeq, cap: int) -> tuple[Relation, Relation, Relation]:
+    """Over the members of the class of s: the occurrence pairs strictly
+    earlier in every member, in different steps in every member, and not
+    later in every member (the intersections of the members' stratified
+    orders, of their symmetric closures and of their weak companions)."""
+    members = enumerate_class(alphabet, s, cap).members
+    points = enumerate_occurrences(members[0]).points
+    full = points.full
+    before = [full] * len(points.points)
+    apart = before[:]
+    not_later = before[:]
+    for member in members:
+        later = 0
+        for step in reversed(enumerate_occurrences(member).steps):
+            m = points.mask(step)
+            for i in bits(m):
+                before[i] &= later
+                apart[i] &= full ^ m
+                not_later[i] &= later | (m ^ 1 << i)
+            later |= m
+    return tuple(Relation.from_rows(points, tuple(r)) for r in (before, apart, not_later))
 
 
 def so_of_class(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> SoStructure:
@@ -121,11 +180,8 @@ def so_of_class(alphabet: GAlphabet, s: StepSeq, cap: int = CLASS_CAP) -> SoStru
     """
     if alphabet.inl:
         raise InlNotEmpty("induced so-structures need a comtrace alphabet")
-    members = enumerate_class(alphabet, s, cap).members
-    orders = [order_of(enumerate_occurrences(m)) for m in members]
-    prec = frozenset.intersection(*(o.pairs for o in orders))
-    wc = frozenset.intersection(*(o.weak_extension().pairs for o in orders))
-    return validate_so(so_structure(orders[0].carrier, prec, wc))
+    prec, _, wc = _class_orders(alphabet, s, cap)
+    return validate_so(SoStructure(prec.carrier, prec, wc))
 
 
 # --------------------------------------------------------------------------
@@ -137,8 +193,8 @@ def extensions_so(s: SoStructure, cap: int = EXTENSION_CARRIER_CAP) -> list[Rela
     earlier blocks, wc forces not-later blocks."""
     if len(s.carrier) > cap:
         raise CarrierTooLarge(f"carrier of {len(s.carrier)} points exceeds cap {cap}")
-    parts = ordered_partitions(s.carrier, strict=s.prec.pairs, weak=s.wc.pairs)
-    return [partition_to_order(p) for p in parts]
+    parts = ordered_partitions(s.carrier, strict=s.prec, weak=s.wc)
+    return orders_of_partitions(s.prec.points, parts)
 
 
 def so_from_orders(orders: Iterable[Relation]) -> SoStructure:
@@ -148,11 +204,9 @@ def so_from_orders(orders: Iterable[Relation]) -> SoStructure:
     """
     orders = list(orders)
     assert orders, "need at least one stratified order"
-    carrier = orders[0].carrier
-    assert all(o.carrier == carrier for o in orders)
-    prec = frozenset.intersection(*(o.pairs for o in orders))
-    wc = frozenset.intersection(*(o.weak_extension().pairs for o in orders))
-    return so_structure(carrier, prec, wc)
+    prec = reduce(Relation.__and__, orders)
+    wc = reduce(Relation.__and__, (o.weak_extension() for o in orders))
+    return SoStructure(prec.carrier, prec, wc)
 
 
 def pi3_witness(orders: Iterable[Relation]) -> tuple | None:
@@ -185,7 +239,7 @@ def pi3_check(orders: Iterable[Relation]) -> bool:
 @dataclass(frozen=True)
 class InducedComtrace:
     alphabet: GAlphabet
-    members: tuple  # the step sequences of the extensions, sorted
+    members: tuple  # the step sequences of the extensions, in ordered_partitions' order
 
 
 def alphabet_of_so(s: SoStructure, order: tuple | None = None) -> GAlphabet:
@@ -194,27 +248,24 @@ def alphabet_of_so(s: SoStructure, order: tuple | None = None) -> GAlphabet:
       sim: distinct and prec-incomparable
       ser: sim, and additionally not wc-related the other way
     """
-    sim = s.prec.incomparability().pairs
-    ser = {(a, b) for a, b in sim if (b, a) not in s.wc.pairs}
-    return galphabet(s.carrier, sim=sim, ser=ser, order=order)
+    sim = s.prec.incomparability()
+    ser = sim - s.wc.inverse()
+    return galphabet(s.carrier, sim=sim.pairs, ser=ser.pairs, order=order)
 
 
 def comtrace_of_so(s: SoStructure, order: tuple | None = None) -> InducedComtrace:
     """The comtrace generated by a so-structure: the step sequences of all
     stratified extensions, over the read-off alphabet.  This set is a single
     congruence class of that alphabet, and its induced so-structure is s
-    again (both facts are theorems, exercised by the tests)."""
+    again (both facts are theorems, exercised by the tests).  The members
+    come in the generator's order, which depends on the structure alone."""
     theta = alphabet_of_so(s, order=order)
-    parts = ordered_partitions(s.carrier, strict=s.prec.pairs, weak=s.wc.pairs)
-    members = {tuple(part) for part in parts}
-    return InducedComtrace(alphabet=theta, members=tuple(sorted(members, key=repr)))
+    parts = ordered_partitions(s.carrier, strict=s.prec, weak=s.wc)
+    return InducedComtrace(alphabet=theta, members=tuple(tuple(part) for part in parts))
 
 
 def so_from_extension(s: SoStructure, ext: Relation) -> SoStructure:
     """Rebuild the structure from any single one of its stratified extensions:
     (X, ext minus ser, weak-ext minus ser-inverse), no closure needed."""
-    theta = alphabet_of_so(s)
-    ser = theta.ser
-    prec = {(a, b) for a, b in ext.pairs if (a, b) not in ser}
-    wc = {(a, b) for a, b in ext.weak_extension().pairs if (b, a) not in ser}
-    return so_structure(s.carrier, prec, wc)
+    ser, ser_back = s._ser
+    return SoStructure(s.carrier, ext - ser, ext.weak_extension() - ser_back)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .alphabet import Event, GAlphabet, Step, event_text
 from .errors import UnknownEvent
-from .relations import Relation, order_to_partition
+from .relations import PointOrder, Relation, order_to_partition, orders_of_partitions
 
 StepSeq = tuple  # tuple[Step, ...]
 Occurrence = tuple  # (event, k)
@@ -123,6 +123,11 @@ class Enumerated:
     def carrier(self) -> frozenset:
         return frozenset(self.pos)
 
+    @cached_property
+    def points(self) -> PointOrder:
+        """The carrier's point order, shared by the relations built here."""
+        return PointOrder(self.carrier)
+
 
 def label(occ: Occurrence) -> Event:
     return occ[0]
@@ -194,25 +199,12 @@ def order_of(s: StepSeq | Enumerated) -> Relation:
     """The stratified order of occurrences: alpha before beta iff alpha's
     step comes strictly earlier."""
     en = s if isinstance(s, Enumerated) else enumerate_occurrences(s)
-    pairs = set()
-    for i, step in enumerate(en.steps):
-        for later in en.steps[i + 1:]:
-            pairs.update((a, b) for a in step for b in later)
-    return Relation(en.carrier, frozenset(pairs))
+    return orders_of_partitions(en.points, [en.steps])[0]
 
 
 def weak_order_of(s: StepSeq | Enumerated) -> Relation:
     """The 'not later than' companion: distinct occurrences with pos <= pos."""
-    en = s if isinstance(s, Enumerated) else enumerate_occurrences(s)
-    pairs = set()
-    for i, step in enumerate(en.steps):
-        for a in step:
-            for b in step:
-                if a != b:
-                    pairs.add((a, b))
-        for later in en.steps[i + 1:]:
-            pairs.update((a, b) for a in step for b in later)
-    return Relation(en.carrier, frozenset(pairs))
+    return order_of(s).weak_extension()
 
 
 def sequence_of(rel: Relation) -> tuple[frozenset, ...]:

@@ -8,6 +8,7 @@ from comtrace.cli import main
 
 ALPH_SER_ONEWAY = "events: a b c\nsim: (b,c)\nser: (b,c)\n"
 ALPH_TINY_INL = "events: a b c\nsim: (a,c)\nser: (a,c) (c,a)\ninl: (a,b)\n"
+ALPH_NO_SIM = "events: a b c\nsim:\nser:\n"
 SO_LAYERED = (
     "carrier: a b c d e\n"
     "prec: (a,c) (a,d) (a,e) (b,d) (b,e) (c,d) (c,e)\n"
@@ -22,6 +23,7 @@ def runner(tmp_path):
     for name, text in [
         ("oneway.alph", ALPH_SER_ONEWAY),
         ("tiny.alph", ALPH_TINY_INL),
+        ("nosim.alph", ALPH_NO_SIM),
         ("layered.so", SO_LAYERED),
     ]:
         p = tmp_path / name
@@ -150,6 +152,23 @@ def test_dot_output(runner):
     assert "digraph prec {" in res.output
     assert '"b.1" -> "a.1" [style=solid];' in res.output
     assert "digraph wc {" in res.output
+
+
+@pytest.mark.parametrize("verb", [["sostruct", "--format", "dot"], ["dot"]])
+def test_reduce_drops_implied_prec_edges(runner, verb):
+    # {a}{b}{c} with nothing simultaneous: prec is the 3-chain a < b < c
+    r, paths = runner
+    args = [*verb, "--alphabet", paths["nosim.alph"], "{a}{b}{c}"]
+    full = r.invoke(main, args)
+    reduced = r.invoke(main, [*args[:-1], "--reduce", args[-1]])
+    assert full.exit_code == reduced.exit_code == 0
+    prec_full, wc_full = full.output.split("digraph wc {")
+    prec_reduced, wc_reduced = reduced.output.split("digraph wc {")
+    edges = ['"a.1" -> "b.1" [style=solid];', '"b.1" -> "c.1" [style=solid];']
+    implied = '"a.1" -> "c.1" [style=solid];'
+    assert all(e in prec_full for e in edges) and implied in prec_full
+    assert all(e in prec_reduced for e in edges) and implied not in prec_reduced
+    assert wc_reduced == wc_full  # only prec is reduced
 
 
 def test_domain_error_exit_code(runner):
