@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .errors import (
     NotAStep,
@@ -53,21 +53,37 @@ def _successors(index: dict, pairs: frozenset) -> tuple:
     return tuple(succ)
 
 
+class StepRewrites(NamedTuple):
+    """What the rewrites need to know about one step, as a :class:`MaskView`
+    computes it once: the step's mask, the events every one of its events
+    serializes before (``ser``) and interleaves with (``inl``), and its
+    ``splits``, every ordered pair ``(B, C)`` of steps partitioning it with
+    ``B x C`` in ser."""
+
+    mask: int
+    ser: int
+    inl: int
+    splits: tuple
+
+
 class MaskView:
     """An alphabet's events as bits: event ``order[i]`` is bit ``1 << i``.
 
     ``ser[i]`` and ``inl[i]`` are the successor masks of ``order[i]``: the
     events ``e`` with ``(order[i], e)`` in ser, respectively inl.  A step is
-    the mask of its events; :meth:`to_mask` and :meth:`from_mask` convert,
-    memoized in two plain dicts so each distinct step is converted once and
-    :meth:`from_mask` hands back one frozenset object per mask.
+    the mask of its events.  Each distinct step gets one
+    :class:`StepRewrites` record, built the first time the step is seen and
+    kept in the ``records`` dict: :meth:`rewrites` returns it and
+    :meth:`to_mask` reads the mask off it.  :meth:`from_mask` hands back one
+    frozenset object per mask (memoized in ``step_of``), so the steps of the
+    records' splits are those objects too.
 
     The view holds the event order but not the alphabet, so caching it on the
     alphabet makes no reference cycle: an alphabet dropped by a cache is
-    freed at once, with its view.
+    freed at once, with its view and its records.
     """
 
-    __slots__ = ("order", "bit", "ser", "inl", "mask_of", "step_of")
+    __slots__ = ("order", "bit", "ser", "inl", "step_of", "records")
 
     def __init__(self, order: tuple, ser: frozenset, inl: frozenset):
         index = {e: i for i, e in enumerate(order)}
@@ -75,20 +91,35 @@ class MaskView:
         self.bit = {e: 1 << i for e, i in index.items()}
         self.ser = _successors(index, ser)
         self.inl = _successors(index, inl)
-        self.mask_of: dict = {}  # step -> mask
         self.step_of: dict = {}  # mask -> step
+        self.records: dict = {}  # step -> StepRewrites
+
+    def rewrites(self, step: Step) -> StepRewrites:
+        rec = self.records.get(step)
+        if rec is None:
+            rec = self.records[step] = self._record(step)
+        return rec
 
     def to_mask(self, step: Step) -> int:
-        m = self.mask_of.get(step)
-        if m is None:
-            m = 0
-            for e in step:
-                try:
-                    m |= self.bit[e]
-                except KeyError:
-                    raise UnknownEvent(f"unknown event {event_text(e)!r}") from None
-            self.mask_of[step] = m
-        return m
+        return self.rewrites(step)[0]
+
+    def _record(self, step: Step) -> StepRewrites:
+        m = 0
+        for e in step:
+            try:
+                m |= self.bit[e]
+            except KeyError:
+                raise UnknownEvent(f"unknown event {event_text(e)!r}") from None
+        splits = []
+        # every proper nonempty submask b of m with (m ^ b) inside the events
+        # all of b serializes before
+        b = (m - 1) & m
+        while b:
+            c = m ^ b
+            if not c & ~self.common(self.ser, b):
+                splits.append((self.from_mask(b), self.from_mask(c)))
+            b = (b - 1) & m
+        return StepRewrites(m, self.common(self.ser, m), self.common(self.inl, m), tuple(splits))
 
     def from_mask(self, m: int) -> Step:
         step = self.step_of.get(m)
@@ -119,8 +150,9 @@ class GAlphabet:
     :func:`galphabet` which validates all invariants.
 
     ``masks`` is the alphabet's :class:`MaskView`, built on first use and
-    kept in the instance ``__dict__``: steps as int bitmasks and ser/inl as
-    per-event successor masks, for the rewrite and canonical-form kernels.
+    kept in the instance ``__dict__``: steps as int bitmasks with one rewrite
+    record each, and ser/inl as per-event successor masks, for the rewrite
+    and canonical-form kernels.
     Bits follow ``order``, so :meth:`with_order` gives a new view.
     """
 

@@ -36,6 +36,7 @@ from .stepseq import (
     StepSeq,
     enumerate_occurrences,
     label,
+    occurrence_steps,
     order_of,
 )
 
@@ -161,7 +162,7 @@ def _class_orders(alphabet: GAlphabet, s: StepSeq, cap: int) -> tuple[Relation, 
     not_later = before[:]
     for member in members:
         later = 0
-        for step in reversed(enumerate_occurrences(member).steps):
+        for step in reversed(occurrence_steps(member)):
             m = points.mask(step)
             for i in bits(m):
                 before[i] &= later

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .alphabet import Event, GAlphabet, Step, event_text
@@ -110,30 +109,34 @@ def carrier_events(s: StepSeq) -> frozenset:
 
 @dataclass(frozen=True)
 class Enumerated:
-    """A step sequence over occurrences (event, k), k counted from 1."""
+    """A step sequence over occurrences (event, k), k counted from 1.
+
+    ``pos`` maps each occurrence to the 1-based index of its step,
+    ``carrier`` is the set of occurrences and ``points`` its point order,
+    shared by the relations built here.  The three are plain attributes set
+    once at construction; equality, hashing and repr depend on ``steps``
+    alone.
+    """
 
     steps: tuple
+    pos: dict = field(init=False, repr=False, compare=False)
+    carrier: frozenset = field(init=False, repr=False, compare=False)
+    points: PointOrder = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def pos(self) -> dict:
-        """Occurrence -> 1-based index of its step."""
-        return {occ: i + 1 for i, step in enumerate(self.steps) for occ in step}
-
-    @cached_property
-    def carrier(self) -> frozenset:
-        return frozenset(self.pos)
-
-    @cached_property
-    def points(self) -> PointOrder:
-        """The carrier's point order, shared by the relations built here."""
-        return PointOrder(self.carrier)
+    def __post_init__(self):
+        pos = {occ: i + 1 for i, step in enumerate(self.steps) for occ in step}
+        carrier = frozenset(pos)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "points", PointOrder(carrier))
 
 
 def label(occ: Occurrence) -> Event:
     return occ[0]
 
 
-def enumerate_occurrences(s: StepSeq) -> Enumerated:
+def occurrence_steps(s: StepSeq) -> tuple:
+    """The steps of s with each event replaced by its occurrence (event, k)."""
     seen: Counter = Counter()
     osteps = []
     for step in s:
@@ -142,7 +145,11 @@ def enumerate_occurrences(s: StepSeq) -> Enumerated:
             seen[e] += 1
             block.add((e, seen[e]))
         osteps.append(frozenset(block))
-    return Enumerated(tuple(osteps))
+    return tuple(osteps)
+
+
+def enumerate_occurrences(s: StepSeq) -> Enumerated:
+    return Enumerated(occurrence_steps(s))
 
 
 def delabel(osteps: Iterable[frozenset]) -> StepSeq:

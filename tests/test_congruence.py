@@ -1,6 +1,8 @@
 """Equivalence-class enumeration against the hand-checked golden classes."""
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import chain, islice, product
 
 import pytest
@@ -9,6 +11,7 @@ from comtrace import (
     compose_classes,
     enumerate_class,
     equivalent,
+    galphabet,
     lift_trace_alphabet,
     parse,
     render,
@@ -16,7 +19,9 @@ from comtrace import (
 )
 from comtrace.congruence import (
     CLASS_CACHE_SIZE,
+    CLASS_CAP,
     _class_members,
+    _ClassIndex,
     _trace_members,
     rewrite_neighbors,
 )
@@ -163,12 +168,120 @@ def test_class_members_are_distinct_and_sorted_by_text(rng):
 
 
 def test_class_cache_stays_bounded():
-    # a long loop over distinct sequences must not grow the process without bound
+    # a long loop over distinct classes must not grow the process without
+    # bound; sequences of one class share one entry, so feed distinct classes
     steps = DIAMOND.steps_universe()
     seqs = chain.from_iterable(product(steps, repeat=n) for n in range(1, 6))
-    for s in islice(seqs, CLASS_CACHE_SIZE + 100):
-        enumerate_class(DIAMOND, s)
-    assert _class_members.cache_info().currsize == CLASS_CACHE_SIZE
+    _class_members.cache_clear()
+    seen, sizes = set(), []
+    for s in seqs:
+        if len(sizes) == CLASS_CACHE_SIZE + 100:
+            break
+        if s not in seen:
+            cls = enumerate_class(DIAMOND, s)
+            seen.update(cls.members)
+            sizes.append(len(cls))
+    info = _class_members.cache_info()
+    assert (info.hits, info.misses) == (0, CLASS_CACHE_SIZE + 100)
+    assert info.classes == CLASS_CACHE_SIZE
+    assert info.members == sum(sizes[-CLASS_CACHE_SIZE:])
+
+
+def _random_classes(rng, count):
+    """(alphabet, seed sequence) of small random classes, half with inl."""
+    for allow_inl in (False, True):
+        for _ in range(count):
+            alph, s, _ = random_instance(rng, allow_inl=allow_inl, max_len=3, class_cap=60)
+            yield alph, s
+
+
+def test_every_member_gets_the_class_a_fresh_bfs_gives(rng):
+    for alph, s in _random_classes(rng, 15):
+        _class_members.cache_clear()
+        members = _class_members(alph, s, CLASS_CAP)
+        assert all(_class_members(alph, m, CLASS_CAP) is members for m in members)
+        assert _class_members.cache_info().misses == 1
+        for m in members:
+            _class_members.cache_clear()
+            assert _class_members(alph, m, CLASS_CAP) == members
+
+
+def test_over_cap_class_raises_from_every_member_and_is_not_cached(rng):
+    checked = 0
+    for alph, s in _random_classes(rng, 15):
+        members = enumerate_class(alph, s).members
+        if len(members) < 3:
+            continue
+        cap = len(members) - 1
+        _class_members.cache_clear()
+        for m in members:
+            with pytest.raises(ClassCapExceeded) as err:
+                enumerate_class(alph, m, cap)
+            assert str(err.value) == f"class of {render(alph, m)} exceeds {cap} members"
+        info = _class_members.cache_info()
+        assert (info.hits, info.misses, info.classes, info.members) == (0, len(members), 0, 0)
+        checked += 1
+    assert checked >= 5
+
+
+def test_alphabets_with_another_order_do_not_share_classes(rng):
+    for alph, s in _random_classes(rng, 10):
+        other = alph.with_order(reversed(alph.order))
+        _class_members.cache_clear()
+        here = _class_members(alph, s, CLASS_CAP)
+        there = _class_members(other, s, CLASS_CAP)
+        assert there is not here and set(there) == set(here)
+        assert _class_members.cache_info().misses == 2
+        _class_members.cache_clear()
+        assert _class_members(other, s, CLASS_CAP) == there
+        _assert_sorted_by_text(other, enumerate_class(other, s))
+
+
+def test_scripted_lookups_count_hits_and_misses():
+    index = _ClassIndex(2)
+    x = parse(INL_PAIR, "{a,c}{b}")  # a class of ten
+    x_other = parse(INL_PAIR, "{b}{c}{a}")
+    y = parse(INL_PAIR, "{a}")
+    z = parse(INL_PAIR, "{b}")
+
+    def counts():
+        info = index.cache_info()
+        return info.hits, info.misses, info.classes, info.members
+
+    x_members = index(INL_PAIR, x, CLASS_CAP)
+    assert counts() == (0, 1, 1, 10)
+    assert index(INL_PAIR, x_other, CLASS_CAP) is x_members
+    assert counts() == (1, 1, 1, 10)
+    index(INL_PAIR, x, 10)  # another cap is another key
+    assert counts() == (1, 2, 2, 20)
+    for _ in range(2):  # over the cap: a miss each time, nothing stored
+        with pytest.raises(ClassCapExceeded):
+            index(INL_PAIR, x, 9)
+    assert counts() == (1, 4, 2, 20)
+    index(INL_PAIR, x_other, CLASS_CAP)  # x at CLASS_CAP is now the most recent
+    index(INL_PAIR, y, CLASS_CAP)  # evicts x at cap 10 with its ten keys
+    assert counts() == (2, 5, 2, 11)
+    index(INL_PAIR, x, CLASS_CAP)
+    index(INL_PAIR, x, 10)  # evicted: computed again, evicting y
+    index(INL_PAIR, z, CLASS_CAP)  # evicts x at CLASS_CAP
+    assert counts() == (3, 7, 2, 11)
+    index.cache_clear()
+    assert counts() == (0, 0, 0, 0)
+
+
+def test_evicted_alphabet_is_freed():
+    index = _ClassIndex(1)
+    alph = galphabet("ab", sim={("a", "b")}, ser={("a", "b")})
+    index(alph, (frozenset("ab"),), CLASS_CAP)
+    ref = weakref.ref(alph)
+    gc.disable()
+    try:
+        del alph
+        assert ref() is not None
+        index(INL_PAIR, parse(INL_PAIR, "{a}"), CLASS_CAP)
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_trace_cache_stays_bounded():

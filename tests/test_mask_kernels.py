@@ -9,7 +9,8 @@ import weakref
 
 import pytest
 
-from comtrace import forward_dependent, galphabet, parse
+from comtrace import enumerate_class, forward_dependent, galphabet, parse
+from comtrace.alphabet import MaskView
 from comtrace.canonical import step_order_key
 from comtrace.congruence import rewrite_neighbors
 from comtrace.errors import UnknownEvent
@@ -17,7 +18,12 @@ from comtrace.gsostruct import gcomtrace_of_gso, gso_of_stepseq
 from comtrace.sostruct import comtrace_of_so, so_of_stepseq
 
 from conftest import DIAMOND, DIAMOND_INL, random_alphabet, random_instance
-from oracles import oracle_forward_dependent, oracle_rewrite_neighbors, oracle_witnesses
+from oracles import (
+    oracle_forward_dependent,
+    oracle_rewrite_neighbors,
+    oracle_splits,
+    oracle_witnesses,
+)
 
 
 def fs(text):
@@ -61,6 +67,50 @@ def test_rewrite_neighbors_match_oracle(rng):
     for alph, members in _occurrence_classes():
         assert alph.events and isinstance(next(iter(alph.events)), tuple)
         _assert_neighbors_match(alph, members)
+
+
+def _assert_records_match(alph, steps):
+    view = alph.masks
+    for step in steps:
+        rec = view.rewrites(step)
+        assert rec.mask == sum(view.bit[e] for e in step)
+        for rel, succ in ((alph.ser, rec.ser), (alph.inl, rec.inl)):
+            assert succ == sum(view.bit[e] for e in alph.events if all((x, e) in rel for x in step))
+        assert len(rec.splits) == len(set(rec.splits))
+        assert set(rec.splits) == set(oracle_splits(step, alph.ser))
+
+
+def test_rewrite_records_match_oracle(rng):
+    for allow_inl in (False, True):
+        for _ in range(30):
+            alph = random_alphabet(rng, "abcde"[: rng.randint(2, 5)], allow_inl=allow_inl)
+            _assert_records_match(alph, alph.steps_universe())
+            _assert_records_match(_permuted(rng, alph), alph.steps_universe())
+    for alph, members in _occurrence_classes():
+        _assert_records_match(alph, {a for m in members for a in m})
+
+
+def test_each_step_record_is_built_once(monkeypatch):
+    built = []
+    record = MaskView._record
+    monkeypatch.setattr(MaskView, "_record", lambda view, step: built.append(step) or record(view, step))
+    alph = DIAMOND_INL.with_order("dcba")  # a fresh view
+    members = enumerate_class(alph, parse(alph, "{a,b}{c}{a,d}")).members
+    for _ in range(3):
+        for m in members:
+            rewrite_neighbors(alph, m)
+    steps = {a for m in members for a in m}
+    assert sorted(built, key=sorted) == sorted(steps, key=sorted)
+    assert all(alph.masks.rewrites(a) is alph.masks.rewrites(a) for a in steps)
+
+
+def test_unknown_event_raises_and_builds_no_record():
+    view = DIAMOND.masks
+    with pytest.raises(UnknownEvent):
+        view.rewrites(fs("az"))
+    with pytest.raises(UnknownEvent):
+        rewrite_neighbors(DIAMOND, (fs("a"), fs("z")))
+    assert fs("az") not in view.records and fs("z") not in view.records
 
 
 def test_forward_dependent_matches_oracle(rng):

@@ -7,6 +7,7 @@ from comtrace import cancel, cancel_all, parse, project, render
 from comtrace.errors import NotAStep, UnknownEvent
 from comtrace.stepseq import (
     LAMBDA,
+    Enumerated,
     carrier_events,
     counts,
     delabel,
@@ -18,7 +19,7 @@ from comtrace.stepseq import (
     weight,
 )
 
-from conftest import DIAMOND, SER_ONEWAY
+from conftest import DIAMOND, SER_ONEWAY, random_alphabet, random_stepseq
 
 
 def test_parse_render_round_trip():
@@ -60,6 +61,24 @@ def test_enumerate_occurrences_positions():
     assert occ.pos[("a", 1)] == 1 and occ.pos[("a", 2)] == 3
     assert label(("a", 2)) == "a"
     assert delabel(occ.steps) == s
+
+
+def test_enumerated_attributes_agree_with_their_definitions(rng):
+    for _ in range(40):
+        alph = random_alphabet(rng, "abcde", allow_inl=rng.random() < 0.5)
+        s = random_stepseq(rng, alph, max_len=5)
+        en = enumerate_occurrences(s)
+        # set at construction, not computed on first read
+        assert {"pos", "carrier", "points"} <= set(vars(en))
+        assert en.pos == {occ: i + 1 for i, step in enumerate(en.steps) for occ in step}
+        assert en.carrier == frozenset(en.pos) == frozenset().union(*en.steps)
+        assert en.points.carrier == en.carrier
+        assert en.points.points == tuple(sorted(en.carrier, key=repr))
+        # equality, hashing and repr depend on the steps alone
+        again = Enumerated(en.steps)
+        assert again == en and hash(again) == hash(en)
+        assert repr(en) == f"Enumerated(steps={en.steps!r})"
+        assert Enumerated(en.steps[1:]) != en
 
 
 def test_order_of_is_strict_weak_of_positions():
